@@ -395,7 +395,11 @@ func runSingle(cfg config, ds dataset.Dataset) {
 
 	stopChurn := make(chan struct{})
 	if sw != nil && cfg.churn > 0 {
-		go runChurn(sw, cfg.churn, cfg.churnOps, ds.N(), cfg.seed+99, stopChurn)
+		apply := func(ops []stream.SiteOp) (string, int, error) {
+			gen, applied, err := sw.Apply(ops)
+			return fmt.Sprintf("generation %d", gen), len(applied), err
+		}
+		go runChurn(apply, sw.LiveSiteIDs, sw.Len, cfg.churn, cfg.churnOps, ds.N(), cfg.seed+99, stopChurn)
 	}
 
 	serveErr := make(chan error, 1)
@@ -603,7 +607,11 @@ func runSharded(cfg config, ds dataset.Dataset) {
 
 	stopChurn := make(chan struct{})
 	if fsw != nil && cfg.churn > 0 {
-		go runFabricChurn(fsw, cfg.churn, cfg.churnOps, ds.N(), cfg.seed+99, stopChurn)
+		apply := func(ops []stream.SiteOp) (string, int, error) {
+			gens, applied, err := fsw.Apply(ops)
+			return fmt.Sprintf("shard generations %v", gens), len(applied), err
+		}
+		go runChurn(apply, fsw.LiveSiteIDs, fsw.Len, cfg.churn, cfg.churnOps, ds.N(), cfg.seed+99, stopChurn)
 	}
 	for _, srv := range srvs {
 		srv := srv
@@ -770,9 +778,13 @@ func shutdownAll(cfg config, stopChurn chan struct{}, pipe *ingest.Pipeline, ing
 	}
 }
 
-// runChurn applies a random site batch through the swapper at every tick,
-// keeping the live population near n0, until stop closes.
-func runChurn(sw *stream.Swapper, every time.Duration, opsPerBatch, n0 int, seed int64, stop chan struct{}) {
+// runChurn applies a random site batch at every tick, keeping the live
+// population near n0, until stop closes. apply runs the batch through a
+// swapper and names the generation(s) it put on the air — one number for a
+// single channel, the per-shard vector for the fabric, which republishes
+// only the shards whose clipped content changed.
+func runChurn(apply func([]stream.SiteOp) (onAir string, applied int, err error), liveIDs func() []int, live func() int,
+	every time.Duration, opsPerBatch, n0 int, seed int64, stop chan struct{}) {
 	rng := rand.New(rand.NewSource(seed))
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -782,34 +794,12 @@ func runChurn(sw *stream.Swapper, every time.Duration, opsPerBatch, n0 int, seed
 			return
 		case <-t.C:
 		}
-		gen, applied, err := sw.Apply(churnBatch(sw.LiveSiteIDs(), rng, opsPerBatch, n0))
+		onAir, applied, err := apply(churnBatch(liveIDs(), rng, opsPerBatch, n0))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "broadcastd: churn:", err)
 			continue
 		}
-		fmt.Printf("broadcastd: generation %d on the air (%d site ops, %d live sites)\n", gen, len(applied), sw.Len())
-	}
-}
-
-// runFabricChurn is runChurn against the sharded fabric: each batch
-// republishes only the shards whose clipped content changed, so the log
-// line reports the per-shard generation vector.
-func runFabricChurn(sw *fabric.Swapper, every time.Duration, opsPerBatch, n0 int, seed int64, stop chan struct{}) {
-	rng := rand.New(rand.NewSource(seed))
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		gens, applied, err := sw.Apply(churnBatch(sw.LiveSiteIDs(), rng, opsPerBatch, n0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "broadcastd: churn:", err)
-			continue
-		}
-		fmt.Printf("broadcastd: shard generations %v on the air (%d site ops, %d live sites)\n", gens, len(applied), sw.Len())
+		fmt.Printf("broadcastd: %s on the air (%d site ops, %d live sites)\n", onAir, applied, live())
 	}
 }
 

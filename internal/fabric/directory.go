@@ -144,19 +144,56 @@ func DecodeDirectory(packets [][]byte) (*Directory, error) {
 		}
 		at += dirNodeSize
 	}
+	if err := d.checkTree(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// checkTree verifies that a decoded directory means a routing tree over the
+// S channels, not just that its bytes parse: every split is finite,
+// children point forward (so Route terminates), every node but the root
+// has exactly one parent (no unreachable or shared subtree), and every
+// channel owns exactly one leaf.
+func (d *Directory) checkTree() error {
+	nodes := len(d.Nodes)
+	parents := make([]int, nodes)
+	leaves := make([]bool, d.S)
+	nLeaves := 0
 	for i, nd := range d.Nodes {
+		if math.IsNaN(nd.Split) || math.IsInf(nd.Split, 0) {
+			return fmt.Errorf("fabric: directory node %d splits at %v", i, nd.Split)
+		}
 		switch nd.Axis {
 		case axisLeaf:
 			if int(nd.Channel) >= d.S {
-				return nil, fmt.Errorf("fabric: directory leaf %d names channel %d of %d", i, nd.Channel, d.S)
+				return fmt.Errorf("fabric: directory leaf %d names channel %d of %d", i, nd.Channel, d.S)
 			}
+			if leaves[nd.Channel] {
+				return fmt.Errorf("fabric: directory channel %d owns more than one leaf", nd.Channel)
+			}
+			leaves[nd.Channel] = true
+			nLeaves++
 		case axisX, axisY:
 			if int(nd.Left) >= nodes || int(nd.Right) >= nodes || int(nd.Left) <= i || int(nd.Right) <= i {
-				return nil, fmt.Errorf("fabric: directory node %d has out-of-order children", i)
+				return fmt.Errorf("fabric: directory node %d has out-of-order children", i)
 			}
+			parents[nd.Left]++
+			parents[nd.Right]++
 		default:
-			return nil, fmt.Errorf("fabric: directory node %d has axis %d", i, nd.Axis)
+			return fmt.Errorf("fabric: directory node %d has axis %d", i, nd.Axis)
 		}
 	}
-	return d, nil
+	for i := 1; i < nodes; i++ {
+		switch {
+		case parents[i] == 0:
+			return fmt.Errorf("fabric: directory node %d is unreachable", i)
+		case parents[i] > 1:
+			return fmt.Errorf("fabric: directory node %d is shared by %d parents", i, parents[i])
+		}
+	}
+	if nLeaves != d.S {
+		return fmt.Errorf("fabric: directory covers %d of %d channels", nLeaves, d.S)
+	}
+	return nil
 }

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"sync"
 
-	"airindex/internal/broadcast"
 	"airindex/internal/core"
 	"airindex/internal/geom"
 	"airindex/internal/region"
 	"airindex/internal/stream"
 	"airindex/internal/voronoi"
-	"airindex/internal/wire"
 )
 
 // sliverArea drops clip residue: a global cell whose intersection with a
@@ -31,28 +29,20 @@ type clippedRegion struct {
 	poly geom.Polygon
 }
 
-// clipShard cuts the global subdivision down to one shard rectangle,
-// returning the surviving pieces in global-id order. globalIDs maps region
-// index to global data-instance id; nil means the identity (region index
-// is the id). Cells straddling a shard boundary appear in every shard they
-// intersect — honest data replication, charged to each shard's cycle.
-func clipShard(sub *region.Subdivision, globalIDs []int, rect geom.Rect) []clippedRegion {
-	var out []clippedRegion
-	for i, r := range sub.Regions {
-		if !r.Bounds().Intersects(rect) {
-			continue
+// globalCells lists a global subdivision's cells for clipCells: their
+// global data-instance ids (globalIDs; nil means the identity, region
+// index is the id) and their polygons, in region order. Cells straddling a
+// shard boundary appear in every shard they intersect — honest data
+// replication, charged to each shard's cycle.
+func globalCells(sub *region.Subdivision, globalIDs []int) ([]int, []geom.Polygon) {
+	ids := globalIDs
+	if ids == nil {
+		ids = make([]int, sub.N())
+		for i := range ids {
+			ids[i] = i
 		}
-		piece := geom.ClipRect(r.Poly, rect)
-		if piece == nil || piece.Area() <= sliverArea {
-			continue
-		}
-		id := i
-		if globalIDs != nil {
-			id = globalIDs[i]
-		}
-		out = append(out, clippedRegion{id: id, poly: piece})
 	}
-	return out
+	return ids, regionPolys(sub)
 }
 
 func equalClips(a, b []clippedRegion) bool {
@@ -60,16 +50,32 @@ func equalClips(a, b []clippedRegion) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].id != b[i].id || len(a[i].poly) != len(b[i].poly) {
+		if a[i].id != b[i].id || !pieceEqual(a[i].poly, b[i].poly) {
 			return false
-		}
-		for j := range a[i].poly {
-			if a[i].poly[j] != b[i].poly[j] {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// eachShard runs fn for i = 0..n-1 concurrently and returns the first
+// error in index order.
+func eachShard(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Shard is one channel's compiled broadcast: the clipped subdivision it
@@ -123,56 +129,25 @@ type Options struct {
 	SiteOf func(globalID int) (geom.Point, error)
 }
 
-// siteOfSlice is the SiteOf for identity-numbered site slices (Build,
-// RestoreSnapshotDir).
-func siteOfSlice(sites []geom.Point) func(int) (geom.Point, error) {
-	return func(id int) (geom.Point, error) {
-		if id < 0 || id >= len(sites) {
-			return geom.Point{}, fmt.Errorf("fabric: global id %d outside %d sites", id, len(sites))
-		}
-		return sites[id], nil
-	}
-}
-
-// shardAdjacencyPackets attaches the shard's adjacency table to its arena
-// when the options ask for one (skipped when the arena already carries a
-// table, e.g. restored from a v2 snapshot) and returns the appendix packets
-// to splice between the directory and the tree — nil when the broadcast
-// carries no table.
-func shardAdjacencyPackets(flat *core.FlatPaged, sub *region.Subdivision, rect geom.Rect, ids []int, capacity int, opts Options) ([][]byte, error) {
-	if opts.Adjacency && flat.Flat.Adjacency() == nil {
-		if opts.SiteOf == nil {
-			return nil, fmt.Errorf("fabric: Options.Adjacency requires SiteOf")
-		}
-		sites := make([]geom.Point, len(ids))
-		for i, id := range ids {
-			p, err := opts.SiteOf(id)
-			if err != nil {
-				return nil, err
+// partitionSites is the geometry a build and a snapshot restore share for
+// an identity-numbered site slice: the global Voronoi subdivision, the kd
+// partition, and — for adjacency broadcasts without one — a SiteOf over
+// the slice.
+func partitionSites(area geom.Rect, sites []geom.Point, S int, opts Options) (*region.Subdivision, *Directory, []geom.Rect, Options, error) {
+	if opts.Adjacency && opts.SiteOf == nil {
+		opts.SiteOf = func(id int) (geom.Point, error) {
+			if id < 0 || id >= len(sites) {
+				return geom.Point{}, fmt.Errorf("fabric: global id %d outside %d sites", id, len(sites))
 			}
-			sites[i] = p
-		}
-		adj, err := core.BuildAdjacency(sub, rect, sites)
-		if err != nil {
-			return nil, err
-		}
-		gids := make([]int32, len(ids))
-		for i, id := range ids {
-			gids[i] = int32(id)
-		}
-		adj.IDs = gids
-		if err := adj.Validate(); err != nil {
-			return nil, err
-		}
-		if err := flat.Flat.SetAdjacency(adj); err != nil {
-			return nil, err
+			return sites[id], nil
 		}
 	}
-	adj := flat.Flat.Adjacency()
-	if adj == nil {
-		return nil, nil
+	sub, err := voronoi.Subdivision(area, sites)
+	if err != nil {
+		return nil, nil, nil, opts, err
 	}
-	return adj.EncodePackets(capacity)
+	dir, rects, _, err := Partition(area, sites, S)
+	return sub, dir, rects, opts, err
 }
 
 // Build partitions the sites into S shards and compiles the whole fabric
@@ -180,14 +155,7 @@ func shardAdjacencyPackets(flat *core.FlatPaged, sub *region.Subdivision, rect g
 // program per shard. S = 1 degenerates to a single channel that still
 // carries a one-leaf directory.
 func Build(area geom.Rect, sites []geom.Point, S, capacity int, opts Options) (*Fabric, error) {
-	if opts.Adjacency && opts.SiteOf == nil {
-		opts.SiteOf = siteOfSlice(sites)
-	}
-	sub, err := voronoi.Subdivision(area, sites)
-	if err != nil {
-		return nil, err
-	}
-	dir, rects, _, err := Partition(area, sites, S)
+	sub, dir, rects, opts, err := partitionSites(area, sites, S, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -213,35 +181,59 @@ func FromSubdivision(sub *region.Subdivision, globalIDs []int, dir *Directory, r
 		Rects:      rects,
 		Shards:     make([]*Shard, dir.S),
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, dir.S)
-	for ch := 0; ch < dir.S; ch++ {
-		wg.Add(1)
-		go func(ch int) {
-			defer wg.Done()
-			clips := clipShard(sub, globalIDs, rects[ch])
-			f.Shards[ch], errs[ch] = compileShard(dir, ch, rects[ch], clips, capacity, opts)
-		}(ch)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	ids, polys := globalCells(sub, globalIDs)
+	err := eachShard(dir.S, func(ch int) (err error) {
+		f.Shards[ch], err = compileShard(dir, ch, rects[ch], clipCells(ids, polys, rects[ch]), capacity, opts)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// splitClips returns a shard's clip sequence as parallel key (global id)
+// and polygon slices, the Compiler's region input.
+func splitClips(clips []clippedRegion) ([]int, []geom.Polygon) {
+	keys := make([]int, len(clips))
+	polys := make([]geom.Polygon, len(clips))
+	for i, c := range clips {
+		keys[i], polys[i] = c.id, c.poly
+	}
+	return keys, polys
+}
+
+// channelCompiler configures the stream.Compiler for channel ch: the shard's
+// rectangle and the channel directory (stamped with ch) ahead of every
+// index copy, which also selects global data numbering. It carries the shard's retained cut
+// state in the Swapper, and assembles the programs of the from-scratch and
+// snapshot-restore paths.
+func channelCompiler(dir *Directory, ch int, rect geom.Rect, capacity int, opts Options) (*stream.Compiler, error) {
+	prefix, err := dir.EncodePackets(capacity, ch)
+	if err != nil {
+		return nil, err
+	}
+	c := &stream.Compiler{Area: rect, Capacity: capacity, M: opts.M, Prefix: prefix}
+	if opts.BuildWorkers > 0 {
+		c.BuildOptions = []core.BuildOption{core.WithBuildWorkers(opts.BuildWorkers)}
+	}
+	if opts.Adjacency {
+		if opts.SiteOf == nil {
+			return nil, fmt.Errorf("fabric: Options.Adjacency requires SiteOf")
+		}
+		c.SiteOf = opts.SiteOf
+	}
+	return c, nil
 }
 
 // weldClips welds a shard's clipped pieces into its local subdivision and
 // extracts the bucket -> global-id mapping, shared by the from-scratch
 // compile and the snapshot restore.
 func weldClips(ch int, rect geom.Rect, clips []clippedRegion) (*region.Subdivision, []int, error) {
-	polys := make([]geom.Polygon, len(clips))
-	ids := make([]int, len(clips))
-	for i, c := range clips {
-		polys[i] = c.poly
-		ids[i] = c.id
+	if len(clips) == 0 {
+		return nil, nil, fmt.Errorf("fabric: shard %d covers no regions", ch)
 	}
+	ids, polys := splitClips(clips)
 	sub, err := region.New(rect, polys)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fabric: shard %d subdivision: %w", ch, err)
@@ -252,79 +244,39 @@ func weldClips(ch int, rect geom.Rect, clips []clippedRegion) (*region.Subdivisi
 	return sub, ids, nil
 }
 
-// compileShard builds one channel's program: weld the clipped pieces into
-// a shard-local subdivision, build and page its D-tree, and prefix the
-// channel directory (stamped with this channel) to the index packets.
+// compileShard builds one channel's program from scratch — the reference
+// the retained compiler's cuts are pinned against: weld the clipped pieces
+// into a shard-local subdivision and compile it with the shard's
+// compiler's Build.
 func compileShard(dir *Directory, ch int, rect geom.Rect, clips []clippedRegion, capacity int, opts Options) (*Shard, error) {
-	if len(clips) == 0 {
-		return nil, fmt.Errorf("fabric: shard %d covers no regions", ch)
+	c, err := channelCompiler(dir, ch, rect, capacity, opts)
+	if err != nil {
+		return nil, err
 	}
 	sub, ids, err := weldClips(ch, rect, clips)
 	if err != nil {
 		return nil, err
 	}
-	var buildOpts []core.BuildOption
-	if opts.BuildWorkers > 0 {
-		buildOpts = append(buildOpts, core.WithBuildWorkers(opts.BuildWorkers))
-	}
-	tree, err := core.Build(sub, buildOpts...)
+	cut, err := c.Build(sub, ids)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d tree: %w", ch, err)
+		return nil, fmt.Errorf("fabric: shard %d: %w", ch, err)
 	}
-	params := wire.DTreeParams(capacity)
-	paged, err := tree.Page(params)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d paging: %w", ch, err)
-	}
-	flat := paged.Flatten()
-	adjPkts, err := shardAdjacencyPackets(flat, sub, rect, ids, capacity, opts)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d adjacency: %w", ch, err)
-	}
-	treePkts, err := flat.EncodePackets()
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d encoding: %w", ch, err)
-	}
-	dirPkts, err := dir.EncodePackets(capacity, ch)
-	if err != nil {
-		return nil, err
-	}
-	indexPkts := make([][]byte, 0, len(dirPkts)+len(adjPkts)+len(treePkts))
-	indexPkts = append(indexPkts, dirPkts...)
-	indexPkts = append(indexPkts, adjPkts...)
-	indexPkts = append(indexPkts, treePkts...)
-	bucketPackets := params.DataBucketPackets()
-	if bucketPackets > stream.MaxBucketPackets {
-		return nil, fmt.Errorf("fabric: capacity %d needs %d packets per bucket, wire limit %d", capacity, bucketPackets, stream.MaxBucketPackets)
-	}
-	m := opts.M
-	if m <= 0 {
-		m = broadcast.OptimalM(len(indexPkts), sub.N()*bucketPackets)
-	}
-	sched, err := broadcast.NewSchedule(len(indexPkts), sub.N(), bucketPackets, m)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d schedule: %w", ch, err)
-	}
-	prog := &stream.Program{
-		Capacity:     capacity,
-		IndexPackets: indexPkts,
-		Sched:        sched,
-		Data:         DataStamp(capacity, ids),
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
+	return newShard(ch, rect, clips, ids, cut), nil
+}
+
+// newShard wraps one compiled generation of channel ch as a Shard.
+func newShard(ch int, rect geom.Rect, clips []clippedRegion, ids []int, cut *stream.Cut) *Shard {
 	return &Shard{
 		Channel: ch,
 		Rect:    rect,
-		Sub:     sub,
+		Sub:     cut.Sub,
 		IDs:     ids,
-		Tree:    tree,
-		Paged:   paged,
-		Flat:    flat,
-		Prog:    prog,
+		Tree:    cut.Tree,
+		Paged:   cut.Paged,
+		Flat:    cut.Flat,
+		Prog:    cut.Prog,
 		clips:   clips,
-	}, nil
+	}
 }
 
 // Programs returns the per-channel programs (for stream.NewServer).
@@ -336,23 +288,7 @@ func (f *Fabric) Programs() []*stream.Program {
 	return out
 }
 
-// DataStamp extends stream.BucketStamp with the global numbering: bytes
-// [0,8) carry the local bucket and packet ids exactly as BucketStamp does
-// (so stream.VerifyStampedData still applies), and bytes [8,12) of every
-// packet carry the region's global data-instance id, so a hopping client
-// reports answers in the global numbering without out-of-band state.
-func DataStamp(capacity int, ids []int) func(bucket, pkt int) []byte {
-	base := stream.BucketStamp(capacity)
-	return func(bucket, pkt int) []byte {
-		payload := base(bucket, pkt)
-		if bucket >= 0 && bucket < len(ids) && capacity >= 12 {
-			binary.LittleEndian.PutUint32(payload[8:], uint32(ids[bucket]))
-		}
-		return payload
-	}
-}
-
-// GlobalIDFromData extracts the global data-instance id DataStamp wrote
+// GlobalIDFromData extracts the global data-instance id stream.DataStamp wrote
 // into a downloaded bucket.
 func GlobalIDFromData(data []byte) (int, error) {
 	if len(data) < 12 {

@@ -7,6 +7,7 @@ import (
 	"airindex/internal/core"
 	"airindex/internal/dataset"
 	"airindex/internal/geom"
+	"airindex/internal/stream"
 	"airindex/internal/voronoi"
 	"airindex/internal/wire"
 )
@@ -247,7 +248,7 @@ func TestFabricAccessAccounting(t *testing.T) {
 
 func TestDataStampCarriesGlobalID(t *testing.T) {
 	ids := []int{42, 7, 1000000}
-	stamp := DataStamp(64, ids)
+	stamp := stream.DataStamp(64, ids)
 	for bucket := range ids {
 		payload := stamp(bucket, 0)
 		got, err := GlobalIDFromData(payload)

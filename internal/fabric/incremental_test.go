@@ -2,10 +2,12 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"airindex/internal/dataset"
+	"airindex/internal/geom"
 	"airindex/internal/stream"
 )
 
@@ -101,7 +103,7 @@ func TestSwapperIncrementalEveryGeneration(t *testing.T) {
 				if sw.Current(ch) != before[ch] {
 					t.Fatalf("batch %d: shard %d kept generation %d but replaced the published object", batch, ch, gens[ch])
 				}
-			} else if sw.comps[ch].prev != nil && sw.comps[ch].patch != nil {
+			} else if sw.comps[ch].Retains() {
 				incremental++
 			}
 		}
@@ -157,4 +159,113 @@ func TestSwapperReconcileAfterStale(t *testing.T) {
 		}
 	}
 	requireShardsMatchFresh(t, "post-reconcile", sw)
+}
+
+// interiorSite returns the live site nearest the center of shard ch's
+// rectangle: nudging it perturbs only Voronoi cells deep inside the shard.
+func interiorSite(sw *Swapper, ch int) (int, geom.Point) {
+	center := sw.rects[ch].Center()
+	ids, sites := sw.maint.LiveSites()
+	best := 0
+	for i := range ids {
+		if sites[i].Dist(center) < sites[best].Dist(center) {
+			best = i
+		}
+	}
+	return ids[best], sites[best]
+}
+
+// TestSwapperCutFailureRecovery drives the real cut-failure path: one
+// shard's compile fails inside Apply while another touched shard's compile
+// succeeds. Nothing may reach the air — every channel keeps its generation
+// and its exact program — Pending() turns true, an empty Apply republishes
+// shards byte-identical to a from-scratch build of the live set, and
+// incremental cuts resume afterwards. The fabric analogue of stream's
+// TestApplyCutFailureRollsBackBatchState.
+func TestSwapperCutFailureRecovery(t *testing.T) {
+	ds := dataset.Uniform(200, 21)
+	const (
+		capacity = 128
+		S        = 4
+	)
+	sw, err := NewSwapper(ds.Area, ds.Sites, S, capacity, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvs := startFabricServers(t, sw.Programs(), func(ch int, srv *stream.Server) { sw.Bind(ch, srv) })
+	nudge := func(ch int) stream.SiteOp {
+		id, p := interiorSite(sw, ch)
+		return stream.SiteOp{Kind: stream.OpMove, ID: id, P: p.Add(geom.Pt(3, 3))}
+	}
+
+	// One good incremental cut first, so shard 0's compiler retains state.
+	if _, _, err := sw.Apply([]stream.SiteOp{nudge(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if !sw.comps[0].Retains() {
+		t.Fatal("shard 0 holds no retained cut state after a successful cut")
+	}
+	onAir := make([]*stream.Program, S)
+	gens := make([]uint32, S)
+	for ch, srv := range srvs {
+		onAir[ch], gens[ch] = srv.Program(), srv.Generation()
+		if onAir[ch] != sw.Current(ch).Shard.Prog {
+			t.Fatalf("shard %d: server and swapper disagree before the failure", ch)
+		}
+	}
+
+	// A batch touching shards 0 and 1; shard 0's compile fails, shard 1's
+	// succeeds but must not be published alone.
+	injected := errors.New("injected shard cut failure")
+	sw.comps[0].FailNext(injected)
+	got, ids, err := sw.Apply([]stream.SiteOp{nudge(0), nudge(1)})
+	if !errors.Is(err, injected) {
+		t.Fatalf("Apply returned %v, want the injected failure", err)
+	}
+	if len(ids) != 2 {
+		t.Fatalf("failed Apply reported %d applied ops, want 2 (mutations stay)", len(ids))
+	}
+	if !sw.Pending() {
+		t.Fatal("Pending() false after a failed shard cut")
+	}
+	for ch, srv := range srvs {
+		if got[ch] != gens[ch] || srv.Generation() != gens[ch] || sw.Current(ch).Gen != gens[ch] {
+			t.Fatalf("shard %d: generation moved to %d (server %d, swapper %d) from %d on a failed cut",
+				ch, got[ch], srv.Generation(), sw.Current(ch).Gen, gens[ch])
+		}
+		if srv.Program() != onAir[ch] || sw.Current(ch).Shard.Prog != onAir[ch] {
+			t.Fatalf("shard %d: a failed cut replaced the program on the air", ch)
+		}
+	}
+
+	// An empty Apply reconciles: shards 0 and 1 republish, byte-identical
+	// to a from-scratch build of the live set.
+	got, ids, err = sw.Apply(nil)
+	if err != nil {
+		t.Fatalf("republish Apply: %v", err)
+	}
+	if len(ids) != 0 {
+		t.Fatalf("republish applied %d ops, want 0", len(ids))
+	}
+	if sw.Pending() {
+		t.Fatal("Pending() still true after the republish")
+	}
+	for _, ch := range []int{0, 1} {
+		if got[ch] != gens[ch]+1 || srvs[ch].Generation() != got[ch] {
+			t.Fatalf("shard %d republished as generation %d (server %d), want %d", ch, got[ch], srvs[ch].Generation(), gens[ch]+1)
+		}
+		if srvs[ch].Program() != sw.Current(ch).Shard.Prog {
+			t.Fatalf("shard %d: server does not carry the republished program", ch)
+		}
+	}
+	requireShardsMatchFresh(t, "republish", sw)
+
+	// Incremental cuts resume on the reconciled compiler.
+	if _, _, err := sw.Apply([]stream.SiteOp{nudge(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if p := srvs[0].Metrics().CutDirtyPermille.Load(); p >= 1000 {
+		t.Fatalf("shard 0's post-recovery cut rebuilt %d‰ of its tree, want an incremental cut", p)
+	}
+	requireShardsMatchFresh(t, "post-recovery", sw)
 }

@@ -42,10 +42,10 @@ type Swapper struct {
 	cur   []*ShardGeneration
 	gens  []map[uint32]*ShardGeneration
 	srvs  []*stream.Server
-	comps []*shardCompiler
+	comps []*stream.Compiler
 	// gpatch maintains the canonical global subdivision across batches —
 	// shards clip the *welded* polygons (exactly what a from-scratch
-	// Snapshot + clipShard sees), not the maintainer's raw cells, whose
+	// Snapshot + clipCells sees), not the maintainer's raw cells, whose
 	// coordinates can differ in the last ulp where welding canonicalizes
 	// near-coincident corners.
 	gpatch *region.Patcher
@@ -85,11 +85,8 @@ func NewSwapper(area geom.Rect, sites []geom.Point, S, capacity int, opts Option
 		cur:      make([]*ShardGeneration, S),
 		gens:     make([]map[uint32]*ShardGeneration, S),
 		srvs:     make([]*stream.Server, S),
-		comps:    make([]*shardCompiler, S),
+		comps:    make([]*stream.Compiler, S),
 		bounds:   make(map[int]geom.Rect, len(sites)),
-	}
-	for ch := 0; ch < S; ch++ {
-		sw.comps[ch] = newShardCompiler(dir, ch, rects[ch], capacity, opts)
 	}
 	ids, polys := maint.LiveCells()
 	sw.gpatch = region.NewPatcher(area)
@@ -104,27 +101,23 @@ func NewSwapper(area geom.Rect, sites []geom.Point, S, capacity int, opts Option
 	for i, id := range ids {
 		sw.bounds[id] = canon[i].Bounds()
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, S)
-	for ch := 0; ch < S; ch++ {
-		wg.Add(1)
-		go func(ch int) {
-			defer wg.Done()
-			sh, err := sw.comps[ch].full(clipCells(ids, canon, rects[ch]))
-			if err != nil {
-				errs[ch] = err
-				return
-			}
-			g := &ShardGeneration{Gen: 1, Shard: sh}
-			sw.gens[ch] = map[uint32]*ShardGeneration{1: g}
-			sw.cur[ch] = g
-		}(ch)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = eachShard(S, func(ch int) error {
+		c, err := channelCompiler(dir, ch, rects[ch], capacity, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		sw.comps[ch] = c
+		sh, _, err := sw.cut(pendingShard{ch: ch, clips: clipCells(ids, canon, rects[ch])})
+		if err != nil {
+			return err
+		}
+		g := &ShardGeneration{Gen: 1, Shard: sh}
+		sw.gens[ch] = map[uint32]*ShardGeneration{1: g}
+		sw.cur[ch] = g
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return sw, nil
 }
@@ -204,7 +197,6 @@ type pendingShard struct {
 	clips   []clippedRegion
 	dirty   []int
 	removed []int
-	full    bool // reconcile path: force a full rebuild
 }
 
 // collectChanges turns the batch's canonical dirty and removed id sets
@@ -265,14 +257,30 @@ func (sw *Swapper) pendingIncremental(changes []*cellChange) []pendingShard {
 func (sw *Swapper) pendingReconcile(liveIDs []int, canon []geom.Polygon) []pendingShard {
 	var pending []pendingShard
 	for ch := range sw.cur {
-		sw.comps[ch].reset()
+		sw.comps[ch].Reset()
 		clips := clipCells(liveIDs, canon, sw.rects[ch])
 		if equalClips(clips, sw.cur[ch].Shard.clips) {
 			continue
 		}
-		pending = append(pending, pendingShard{ch: ch, clips: clips, full: true})
+		pending = append(pending, pendingShard{ch: ch, clips: clips})
 	}
 	return pending
+}
+
+// cut compiles one shard's next generation through its retained compiler
+// (a full rebuild after a bootstrap or Reset). Like the from-scratch path,
+// a full rebuild re-checks the shard's welded tiling before it can be
+// published.
+func (sw *Swapper) cut(ps pendingShard) (*Shard, stream.CutStats, error) {
+	keys, polys := splitClips(ps.clips)
+	cut, err := sw.comps[ps.ch].Compile(keys, polys, ps.dirty, ps.removed)
+	if err == nil && !cut.Stats.Incremental {
+		err = cut.Sub.Validate()
+	}
+	if err != nil {
+		return nil, stream.CutStats{}, fmt.Errorf("fabric: shard %d: %w", ps.ch, err)
+	}
+	return newShard(ps.ch, sw.rects[ps.ch], ps.clips, keys, cut), cut.Stats, nil
 }
 
 // Apply runs one batch of site operations through the global maintainer
@@ -293,26 +301,7 @@ func (sw *Swapper) Apply(ops []stream.SiteOp) (gens []uint32, ids []int, err err
 	start := time.Now()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.maint.BeginBatch()
-	ids = make([]int, 0, len(ops))
-	var opErr error
-	for _, op := range ops {
-		var id int
-		switch op.Kind {
-		case stream.OpAdd:
-			id, opErr = sw.maint.Add(op.P)
-		case stream.OpRemove:
-			id, opErr = op.ID, sw.maint.Remove(op.ID)
-		case stream.OpMove:
-			id, opErr = sw.maint.Move(op.ID, op.P)
-		default:
-			opErr = fmt.Errorf("fabric: unknown site op kind %d", op.Kind)
-		}
-		if opErr != nil {
-			break
-		}
-		ids = append(ids, id)
-	}
+	ids, opErr := stream.ApplyOps(sw.maint, ops)
 	gens = make([]uint32, len(sw.cur))
 	for ch, g := range sw.cur {
 		gens[ch] = g.Gen
@@ -367,33 +356,18 @@ func (sw *Swapper) Apply(ops []stream.SiteOp) (gens []uint32, ids []int, err err
 	type rebuilt struct {
 		ch      int
 		shard   *Shard
-		cut     shardCut
+		stats   stream.CutStats
 		buildNS int64
-		err     error
 	}
 	results := make([]rebuilt, len(pending))
-	var wg sync.WaitGroup
-	for i, ps := range pending {
-		wg.Add(1)
-		go func(i int, ps pendingShard) {
-			defer wg.Done()
-			buildStart := time.Now()
-			var sh *Shard
-			var cut shardCut
-			var err error
-			if ps.full {
-				sh, err = sw.comps[ps.ch].full(ps.clips)
-			} else {
-				sh, cut, err = sw.comps[ps.ch].compile(ps.clips, ps.dirty, ps.removed)
-			}
-			results[i] = rebuilt{ch: ps.ch, shard: sh, cut: cut, buildNS: time.Since(buildStart).Nanoseconds(), err: err}
-		}(i, ps)
-	}
-	wg.Wait()
-	for _, r := range results {
-		if r.err != nil {
-			return gens, ids, r.err
-		}
+	err = eachShard(len(pending), func(i int) error {
+		buildStart := time.Now()
+		sh, st, err := sw.cut(pending[i])
+		results[i] = rebuilt{ch: pending[i].ch, shard: sh, stats: st, buildNS: time.Since(buildStart).Nanoseconds()}
+		return err
+	})
+	if err != nil {
+		return gens, ids, err
 	}
 	for _, r := range results {
 		next := sw.cur[r.ch].Gen + 1
@@ -409,10 +383,7 @@ func (sw *Swapper) Apply(ops []stream.SiteOp) (gens []uint32, ids []int, err err
 				sw.cur[r.ch] = prev
 				return gens, ids, err
 			}
-			m := srv.Metrics()
-			m.SwapLatencyNS.Observe(time.Since(start).Nanoseconds())
-			m.CutBuildNS.Observe(r.buildNS)
-			m.CutDirtyPermille.Set(r.cut.dirtyPermille())
+			srv.Metrics().ObserveCut(start, r.buildNS, r.stats)
 		}
 		gens[r.ch] = next
 	}

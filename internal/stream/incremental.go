@@ -8,7 +8,6 @@ import (
 	"airindex/internal/core"
 	"airindex/internal/geom"
 	"airindex/internal/region"
-	"airindex/internal/voronoi"
 	"airindex/internal/wire"
 )
 
@@ -17,25 +16,27 @@ import (
 // a batch of a few site ops re-derives almost all of that from the previous
 // generation instead:
 //
-//	maintainer dirty cells -> region.Patcher (reweld only the touched
-//	neighborhood) -> core.Incremental (rebuild only dirty subtrees, splice
-//	the rest) -> FlattenPatched (bulk-copy clean arena ranges) ->
+//	dirty regions -> region.Patcher (reweld only the touched neighborhood)
+//	-> core.Incremental (rebuild only dirty subtrees, splice the rest) ->
+//	FlattenPatched (bulk-copy clean arena ranges) -> AssembleProgram ->
 //	renderPatched (reuse unchanged frames of the previous cycle).
 //
 // Every stage is pinned byte-identical to its from-scratch counterpart, so
-// an incremental cut broadcasts exactly the bytes a cold rebuild would.
+// an incremental cut broadcasts exactly the bytes a cold rebuild would. The
+// single channel and every fabric shard run this one Compiler; they differ
+// only in the directory prefix, which also selects the data numbering.
 
-// cutStats reports how one generation cut was produced.
-type cutStats struct {
+// CutStats reports how one generation cut was produced.
+type CutStats struct {
 	Incremental bool // false: full rebuild (bootstrap, fallback, or large batch)
 	DirtyKeys   int  // canonical dirty regions handed to the index rebuild
 	Spliced     int  // D-tree nodes copied from the previous generation
 	Total       int  // D-tree nodes in the new generation
 }
 
-// dirtyPermille returns the rebuilt-node fraction in permille (1000 for a
+// DirtyPermille returns the rebuilt-node fraction in permille (1000 for a
 // full rebuild).
-func (cs cutStats) dirtyPermille() int64 {
+func (cs CutStats) DirtyPermille() int64 {
 	if !cs.Incremental || cs.Total == 0 {
 		return 1000
 	}
@@ -47,155 +48,207 @@ func (cs cutStats) dirtyPermille() int64 {
 // pure overhead on top of an almost-complete partition search.
 const incrFullFraction = 0.25
 
-// incrCompiler carries the compile pipeline state one generation hands the
-// next. Not safe for concurrent use; the Swapper serializes Apply batches.
-type incrCompiler struct {
-	capacity int
-	m        int
-	// adjacency makes every compiled arena carry the region-adjacency table
-	// (continuous queries): each cut rebuilds it from the fresh subdivision
-	// and the appendix rides ahead of the tree in every index copy.
-	adjacency bool
+// Cut is one channel generation as the Compiler produced it.
+type Cut struct {
+	Sub   *region.Subdivision
+	Tree  *core.Tree
+	Paged *core.Paged
+	Flat  *core.FlatPaged
+	Prog  *Program
+	Stats CutStats
+}
+
+// Compiler produces one channel's programs generation after generation,
+// carrying the state one generation hands the next: the welded tiling, the
+// D-tree rebuilder, the previous arena and the previous rendered program.
+// Regions are named by stable keys: site ids on a single channel, global
+// data-instance ids on a fabric shard. Not safe for concurrent use.
+type Compiler struct {
+	// Area is the channel's service rectangle (a fabric shard's rectangle).
+	Area     geom.Rect
+	Capacity int
+	// M is the index copies per cycle; <= 0 picks each generation's
+	// optimal m.
+	M int
+	// Prefix leads every index copy: the fabric's channel directory,
+	// stamped with this channel. A channel with a prefix is a fabric
+	// shard, whose keys are global data-instance ids that its data packets
+	// (DataStamp) and adjacency tables carry; a single channel has no
+	// prefix and numbers its data by bucket.
+	Prefix [][]byte
+	// SiteOf, when set, makes every arena carry the region-adjacency table
+	// (continuous queries), resolving each region's key to its site.
+	SiteOf       func(key int) (geom.Point, error)
+	BuildOptions []core.BuildOption
 
 	patch *region.Patcher
 	inc   *core.Incremental
 	prog  *Program
 	flat  *core.FlatPaged
 
-	// failNext, when non-nil, fails the next compile with this error and
-	// clears itself — the fault-injection hook the Apply error-path tests
-	// use to exercise cut-failure recovery without corrupting real state.
-	failNext error
+	failNext error // FailNext
 }
 
-func newIncrCompiler(capacity, m int) *incrCompiler {
-	return &incrCompiler{capacity: capacity, m: m}
-}
-
-// reset drops all retained generation state; the next compile bootstraps.
-func (c *incrCompiler) reset() {
+// Reset drops all retained generation state; the next compile bootstraps.
+func (c *Compiler) Reset() {
 	c.patch, c.inc, c.prog, c.flat = nil, nil, nil, nil
 }
 
-// finish pages, flattens, assembles, and renders a built tree, patching
-// against the previous generation's arena and frame table when present.
-// ids maps region index -> stable site id (the Generation.IDs order), used
-// to look the sites up when the arena carries an adjacency table.
-func (c *incrCompiler) finish(tree *core.Tree, maint *voronoi.Maintainer, sub *region.Subdivision, ids []int) (*Program, *core.FlatPaged, error) {
-	paged, err := tree.Page(wire.DTreeParams(c.capacity))
-	if err != nil {
-		return nil, nil, err
+// Retains reports whether the compiler holds a generation to cut
+// incrementally against.
+func (c *Compiler) Retains() bool {
+	return c.patch != nil && c.inc != nil && c.prog != nil
+}
+
+// FailNext makes the next Compile fail with err without touching any
+// retained state — the fault-injection hook cut-failure tests use to drive
+// a swapper's recovery path. The caller's error path owns the cleanup.
+func (c *Compiler) FailNext(err error) { c.failNext = err }
+
+// Assemble turns a flat arena of this channel into its program. When the
+// channel carries adjacency and the arena has no table yet (a v2 snapshot
+// restores one), it builds the table from sub and the regions' sites first.
+// keys maps region index -> key.
+func (c *Compiler) Assemble(fp *core.FlatPaged, sub *region.Subdivision, keys []int) (*Program, error) {
+	var ids []int // the data numbering: nil numbers by bucket
+	if c.Prefix != nil {
+		ids = keys
 	}
-	fp := paged.FlattenPatched(c.flat)
-	if c.adjacency {
-		sites := make([]geom.Point, len(ids))
-		for i, id := range ids {
-			if sites[i], err = maint.Site(id); err != nil {
-				return nil, nil, err
+	if c.SiteOf != nil && fp.Flat.Adjacency() == nil {
+		sites := make([]geom.Point, len(keys))
+		for i, k := range keys {
+			p, err := c.SiteOf(k)
+			if err != nil {
+				return nil, err
+			}
+			sites[i] = p
+		}
+		adj, err := core.BuildAdjacency(sub, c.Area, sites)
+		if err != nil {
+			return nil, err
+		}
+		if ids != nil {
+			adj.IDs = make([]int32, len(ids))
+			for i, id := range ids {
+				adj.IDs[i] = int32(id)
+			}
+			if err := adj.Validate(); err != nil {
+				return nil, err
 			}
 		}
-		adj, err := core.BuildAdjacency(sub, maint.Area(), sites)
-		if err != nil {
-			return nil, nil, err
-		}
 		if err := fp.Flat.SetAdjacency(adj); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	prog, err := ProgramFromFlat(fp, c.m)
+	return AssembleProgram(fp, c.M, c.Prefix, ids)
+}
+
+// Build compiles a welded subdivision of this channel from scratch without
+// touching the retained state: build, page and flatten its D-tree, then
+// Assemble. It is the reference the incremental cuts are pinned against
+// (CompileDTree, and each shard of fabric.FromSubdivision).
+func (c *Compiler) Build(sub *region.Subdivision, keys []int) (*Cut, error) {
+	tree, err := core.Build(sub, c.BuildOptions...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	paged, err := tree.Page(wire.DTreeParams(c.Capacity))
+	if err != nil {
+		return nil, err
+	}
+	fp := paged.Flatten()
+	prog, err := c.Assemble(fp, sub, keys)
+	if err != nil {
+		return nil, err
+	}
+	return &Cut{Sub: sub, Tree: tree, Paged: paged, Flat: fp, Prog: prog}, nil
+}
+
+// finish pages, flattens, assembles, and renders a built tree, patching
+// against the previous generation's arena and frame table when present,
+// and retains the result as the next compile's baseline.
+func (c *Compiler) finish(sub *region.Subdivision, keys []int, tree *core.Tree, st CutStats) (*Cut, error) {
+	paged, err := tree.Page(wire.DTreeParams(c.Capacity))
+	if err != nil {
+		return nil, err
+	}
+	fp := paged.FlattenPatched(c.flat)
+	prog, err := c.Assemble(fp, sub, keys)
+	if err != nil {
+		return nil, err
 	}
 	if c.prog != nil {
 		rc, err := renderPatched(prog, c.prog)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		prog.setRendered(rc)
 	}
 	if _, err := prog.Rendered(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.prog, c.flat = prog, fp
-	return prog, fp, nil
+	return &Cut{Sub: sub, Tree: tree, Paged: paged, Flat: fp, Prog: prog, Stats: st}, nil
 }
 
-// full compiles the current diagram from scratch (through a fresh Patcher
-// bootstrap, so subsequent batches can patch forward) and retains the
-// generation state. Any failure resets the retained state entirely: a
-// partially bootstrapped patcher paired with a stale incremental rebuilder
-// must never survive into the next compile, where the incremental path
-// would patch against a base that no generation ever had.
-func (c *incrCompiler) full(maint *voronoi.Maintainer) (*region.Subdivision, []int, *Program, *core.FlatPaged, error) {
-	ids, polys := maint.LiveCells()
-	if len(ids) == 0 {
-		return nil, nil, nil, nil, fmt.Errorf("stream: no live sites")
+// full compiles the channel's regions from scratch through a fresh Patcher
+// bootstrap — coordinate-identical to region.New, and leaving the compiler
+// able to patch forward. Any failure resets the retained state entirely: a
+// partially bootstrapped patcher paired with a stale rebuilder must never
+// survive into the next compile, where the incremental path would patch
+// against a base that no generation ever had.
+func (c *Compiler) full(keys []int, polys []geom.Polygon, st CutStats) (cut *Cut, err error) {
+	c.Reset()
+	defer func() {
+		if err != nil {
+			c.Reset()
+		}
+	}()
+	if len(keys) == 0 {
+		return nil, fmt.Errorf("stream: channel has no regions")
 	}
-	c.reset()
-	c.patch = region.NewPatcher(maint.Area())
-	sub, _, err := c.patch.Patch(ids, polys, ids, nil)
+	c.patch = region.NewPatcher(c.Area)
+	sub, _, err := c.patch.Patch(keys, polys, keys, nil)
 	if err != nil {
-		c.reset()
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
-	c.inc = core.NewIncremental()
+	c.inc = core.NewIncremental(c.BuildOptions...)
 	tree, err := c.inc.Full(sub)
 	if err != nil {
-		c.reset()
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
-	prog, fp, err := c.finish(tree, maint, sub, ids)
-	if err != nil {
-		c.reset()
-		return nil, nil, nil, nil, err
-	}
-	return sub, ids, prog, fp, nil
+	return c.finish(sub, keys, tree, st)
 }
 
-// compile produces the next generation from the maintainer's batch delta,
-// incrementally when the retained state allows it and the batch is small
-// enough, from scratch otherwise. Any incremental-path error falls back to
-// a full rebuild (the outputs are byte-identical either way).
-func (c *incrCompiler) compile(maint *voronoi.Maintainer, dirty, removed []int) (*region.Subdivision, []int, *Program, *core.FlatPaged, cutStats, error) {
+// Compile produces the channel's next generation from its regions (keys
+// ascending, polys their cells) and the batch's dirty and removed keys:
+// incrementally when retained state exists and the batch is small enough,
+// from scratch otherwise — always after a Reset, and on the bootstrap.
+// Any incremental-path error falls back to a full rebuild (the outputs are
+// byte-identical either way).
+func (c *Compiler) Compile(keys []int, polys []geom.Polygon, dirty, removed []int) (*Cut, error) {
 	if err := c.failNext; err != nil {
-		// Deliberately leaves the retained state untouched: the Swapper's
-		// error path owns the cleanup, and the tests pin that it happens.
 		c.failNext = nil
-		return nil, nil, nil, nil, cutStats{DirtyKeys: len(dirty)}, err
+		return nil, err
 	}
-	n := maint.Len()
-	if c.patch == nil || c.inc == nil ||
-		float64(len(dirty)+len(removed)) > incrFullFraction*float64(n) {
-		sub, ids, prog, fp, err := c.full(maint)
-		return sub, ids, prog, fp, cutStats{DirtyKeys: len(dirty)}, err
+	if c.Retains() && float64(len(dirty)+len(removed)) <= incrFullFraction*float64(len(keys)) {
+		if cut, err := c.incremental(keys, polys, dirty, removed); err == nil {
+			return cut, nil
+		}
 	}
-	sub, ids, prog, fp, st, err := c.incremental(maint, dirty, removed)
-	if err != nil {
-		sub, ids, prog, fp, ferr := c.full(maint)
-		return sub, ids, prog, fp, cutStats{DirtyKeys: len(dirty)}, ferr
-	}
-	return sub, ids, prog, fp, st, nil
+	return c.full(keys, polys, CutStats{DirtyKeys: len(dirty)})
 }
 
-func (c *incrCompiler) incremental(maint *voronoi.Maintainer, dirty, removed []int) (*region.Subdivision, []int, *Program, *core.FlatPaged, cutStats, error) {
-	ids, polys := maint.LiveCells()
-	if len(ids) == 0 {
-		return nil, nil, nil, nil, cutStats{}, fmt.Errorf("stream: no live sites")
-	}
-	sub, canonDirty, err := c.patch.Patch(ids, polys, dirty, removed)
+func (c *Compiler) incremental(keys []int, polys []geom.Polygon, dirty, removed []int) (*Cut, error) {
+	sub, canonDirty, err := c.patch.Patch(keys, polys, dirty, removed)
 	if err != nil {
-		return nil, nil, nil, nil, cutStats{}, err
+		return nil, err
 	}
 	tree, delta, err := c.inc.Rebuild(sub, canonDirty)
 	if err != nil {
-		return nil, nil, nil, nil, cutStats{}, err
+		return nil, err
 	}
-	prog, fp, err := c.finish(tree, maint, sub, ids)
-	if err != nil {
-		return nil, nil, nil, nil, cutStats{}, err
-	}
-	st := cutStats{Incremental: true, DirtyKeys: len(canonDirty), Spliced: delta.Spliced, Total: delta.Total}
-	return sub, ids, prog, fp, st, nil
+	return c.finish(sub, keys, tree, CutStats{Incremental: true, DirtyKeys: len(canonDirty), Spliced: delta.Spliced, Total: delta.Total})
 }
 
 // renderPatched builds the rendered cycle for p by copying the previous

@@ -61,6 +61,16 @@ func NewMetricsIn(reg *obs.Registry, prefix string) *Metrics {
 // Registry exposes the underlying registry (for /metrics and snapshots).
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
+// ObserveCut records one published generation cut: the end-to-end
+// reconfiguration latency since the batch began (maintainer mutation +
+// off-path rebuild + render + publish, the number capacity planning
+// needs), the cut's compile time, and its rebuilt fraction.
+func (m *Metrics) ObserveCut(begin time.Time, buildNS int64, st CutStats) {
+	m.SwapLatencyNS.Observe(time.Since(begin).Nanoseconds())
+	m.CutBuildNS.Observe(buildNS)
+	m.CutDirtyPermille.Set(st.DirtyPermille())
+}
+
 // Snapshot reads every server metric into a JSON-friendly map.
 func (m *Metrics) Snapshot() map[string]any { return m.reg.Snapshot() }
 
