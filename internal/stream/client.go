@@ -37,9 +37,9 @@ type Client struct {
 	Metrics *ClientMetrics
 	Traces  *obs.TraceLog
 
-	cur     Header // last frame's header
-	started bool
-	steps   []obs.TraceStep // current query's trace, reused across queries
+	curSlot, curNext uint32 // last frame's slot and next-index pointer
+	started          bool
+	steps            []obs.TraceStep // current query's trace, reused across queries
 
 	// Epoch pinning: a query pins the generation it probed and every
 	// subsequent frame must match, so a hot program swap is detected the
@@ -162,7 +162,7 @@ func Dial(addr string, capacity int) (*Client, error) {
 
 // NewClient wraps any frame stream (e.g. one end of net.Pipe in tests).
 func NewClient(r io.Reader, capacity int) *Client {
-	return &Client{r: bufio.NewReaderSize(r, 64<<10), capacity: capacity}
+	return &Client{r: bufio.NewReaderSize(r, txBatchBytes), capacity: capacity}
 }
 
 // Close closes the underlying connection, if any.
@@ -174,32 +174,35 @@ func (c *Client) Close() error {
 }
 
 // advance reads one frame; parseIf decides — from the header alone, as a
-// real receiver must — whether to download the payload or doze through it.
-// The payload is nil when dozed; corrupt reports a downloaded payload that
-// failed the checksum (the payload is withheld, the header — which the
-// channel never damages — is still returned). Slot gaps left by dropped
-// frames are tallied into res.LostSlots.
+// real receiver must — whether to download the payload or doze through it
+// (one Discard, no allocation). The payload is nil when dozed; corrupt
+// reports a downloaded payload that failed the checksum (the payload is
+// withheld, the header — which the channel never damages — is still
+// returned). Slot gaps left by dropped frames are tallied into
+// res.LostSlots.
 func (c *Client) advance(res *Result, parseIf func(Header) bool) (Header, []byte, bool, error) {
-	h, err := readHeader(c.r)
-	if err != nil {
+	var h Header
+	if err := c.peekHeader(&h); err != nil {
 		return Header{}, nil, false, err
 	}
 	if int(h.PayloadLen) != c.capacity {
+		c.r.Discard(headerSize) //nolint:errcheck // buffered by peekHeader
 		return Header{}, nil, false, fmt.Errorf("stream: frame payload %d, expected capacity %d", h.PayloadLen, c.capacity)
 	}
-	if c.started && h.Slot > c.cur.Slot+1 && res != nil {
-		res.LostSlots += int(h.Slot - c.cur.Slot - 1)
+	if c.started && h.Slot > c.curSlot+1 && res != nil {
+		res.LostSlots += int(h.Slot - c.curSlot - 1)
 	}
-	c.cur, c.started = h, true
+	c.curSlot, c.curNext, c.started = h.Slot, h.NextIndex, true
 	if res != nil {
 		res.LastSlot = int(h.Slot)
 	}
+	frame := headerSize + int(h.PayloadLen)
 	if c.genPinned && h.Gen != c.expectGen {
 		// The broadcast was hot-swapped under the query. Discard the
 		// payload so the stream stays frame-aligned, count the skim, and
 		// surface the epoch change instead of letting the caller decode a
 		// frame of a program it holds no valid pointers into.
-		if _, err := c.r.Discard(int(h.PayloadLen)); err != nil {
+		if _, err := c.r.Discard(frame); err != nil {
 			return Header{}, nil, false, err
 		}
 		if res != nil {
@@ -208,11 +211,12 @@ func (c *Client) advance(res *Result, parseIf func(Header) bool) (Header, []byte
 		return h, nil, false, ErrStaleGeneration
 	}
 	if !parseIf(h) {
-		if _, err := c.r.Discard(int(h.PayloadLen)); err != nil {
+		if _, err := c.r.Discard(frame); err != nil {
 			return Header{}, nil, false, err
 		}
 		return h, nil, false, nil
 	}
+	c.r.Discard(headerSize) //nolint:errcheck // buffered by peekHeader
 	payload := make([]byte, h.PayloadLen)
 	if _, err := io.ReadFull(c.r, payload); err != nil {
 		return Header{}, nil, false, err
@@ -224,6 +228,24 @@ func (c *Client) advance(res *Result, parseIf func(Header) bool) (Header, []byte
 		return h, nil, true, nil
 	}
 	return h, payload, false, nil
+}
+
+// peekHeader parses the next frame header in place in the read buffer,
+// leaving it unconsumed unless rejected; its verdicts are readHeader's.
+func (c *Client) peekHeader(h *Header) error {
+	buf, err := c.r.Peek(headerSize)
+	if err != nil {
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		c.r.Discard(len(buf)) //nolint:errcheck
+		return err
+	}
+	if err := parseHeader(buf, h); err != nil {
+		c.r.Discard(headerSize) //nolint:errcheck
+		return err
+	}
+	return nil
 }
 
 func parseAlways(Header) bool { return true }
@@ -352,9 +374,9 @@ func (c *Client) Probe(res *Result) error {
 func (c *Client) fetchIndexPacket(res *Result, off int) ([]byte, error) {
 	for attempt := 0; attempt < maxIndexAttempts; attempt++ {
 		target := c.idxBase + off
-		if int(c.cur.Slot) >= target {
+		if int(c.curSlot) >= target {
 			// Passed: jump to the copy after the current frame.
-			c.idxBase = int(c.cur.Slot) + int(c.cur.NextIndex)
+			c.idxBase = int(c.curSlot) + int(c.curNext)
 			target = c.idxBase + off
 		}
 		h, payload, corrupt, ok, err := c.seek(target, res)

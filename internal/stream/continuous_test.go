@@ -380,7 +380,7 @@ func TestContinuousLossy(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			prog.Transmit(srvEnd, 11, ch) //nolint:errcheck
+			prog.TransmitObserved(srvEnd, 11, ch, nil) //nolint:errcheck
 		}()
 		client := NewClient(cliEnd, capacity)
 		q := ContinuousQuery{WindowW: 2400, WindowH: 2000, K: 3}

@@ -103,37 +103,34 @@ func marshalFrame(h Header, payload []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// writeFrame stamps the payload checksum and emits a frame to w — the
-// honest-transmitter path used when no fault middleware intervenes.
-func writeFrame(w io.Writer, h Header, payload []byte) error {
-	h.CRC = Checksum(payload)
-	buf, err := marshalFrame(h, payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // readHeader reads and validates a frame header.
 func readHeader(r io.Reader) (Header, error) {
 	var buf [headerSize]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return Header{}, err
 	}
-	if binary.LittleEndian.Uint16(buf[0:]) != frameMagic {
-		return Header{}, fmt.Errorf("stream: bad frame magic")
+	var h Header
+	err := parseHeader(buf[:], &h)
+	return h, err
+}
+
+// parseHeader validates the first headerSize bytes of buf and decodes them
+// into *h (untouched on rejection); decoding in place, not returning a
+// Header, keeps the client's per-frame skim free of struct copies.
+func parseHeader(buf []byte, h *Header) error {
+	buf = buf[:headerSize]
+	if binary.LittleEndian.Uint16(buf) != frameMagic {
+		return fmt.Errorf("stream: bad frame magic")
 	}
 	if buf[3] != frameVersion {
-		return Header{}, fmt.Errorf("stream: frame version %d, this client speaks %d", buf[3], frameVersion)
+		return fmt.Errorf("stream: frame version %d, this client speaks %d", buf[3], frameVersion)
 	}
-	return Header{
-		Kind:       buf[2],
-		Slot:       binary.LittleEndian.Uint32(buf[4:]),
-		Seq:        binary.LittleEndian.Uint32(buf[8:]),
-		PayloadLen: binary.LittleEndian.Uint16(buf[12:]),
-		NextIndex:  uint32(binary.LittleEndian.Uint16(buf[14:])),
-		Gen:        binary.LittleEndian.Uint32(buf[16:]),
-		CRC:        binary.LittleEndian.Uint32(buf[20:]),
-	}, nil
+	h.Kind = buf[2]
+	h.Slot = binary.LittleEndian.Uint32(buf[4:])
+	h.Seq = binary.LittleEndian.Uint32(buf[8:])
+	h.PayloadLen = binary.LittleEndian.Uint16(buf[12:])
+	h.NextIndex = uint32(binary.LittleEndian.Uint16(buf[14:]))
+	h.Gen = binary.LittleEndian.Uint32(buf[16:])
+	h.CRC = binary.LittleEndian.Uint32(buf[20:])
+	return nil
 }

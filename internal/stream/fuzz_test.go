@@ -2,9 +2,22 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 )
+
+// writeFrame stamps the payload checksum and writes the marshaled frame to
+// w.
+func writeFrame(w io.Writer, h Header, payload []byte) error {
+	h.CRC = Checksum(payload)
+	buf, err := marshalFrame(h, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
 
 // frameBytes marshals a frame for seeding, stamping the checksum.
 func frameBytes(tb testing.TB, h Header, payload []byte) []byte {
@@ -17,10 +30,12 @@ func frameBytes(tb testing.TB, h Header, payload []byte) []byte {
 }
 
 // FuzzReadFrame feeds arbitrary bytes to the header+payload codec: it must
-// never panic, reject anything that is not a v2 frame, and round-trip
+// never panic, reject anything that is not a v3 frame, and round-trip
 // byte-identically whatever it accepts — including frames whose payload
 // no longer matches the checksum (the receiver classifies those as
-// corrupt, it does not reject them at parse time).
+// corrupt, it does not reject them at parse time). The client's own parse
+// path — the header peeked and parsed in place in its read buffer — must
+// reach the same verdict and the same header as readHeader.
 func FuzzReadFrame(f *testing.F) {
 	idx := frameBytes(f, Header{Kind: KindIndex, Slot: 7, Seq: 2, NextIndex: 31, PayloadLen: 16}, bytes.Repeat([]byte{0xC3}, 16))
 	dat := frameBytes(f, Header{Kind: KindData, Slot: 900, Seq: DataSeq(12, 1), NextIndex: 4, PayloadLen: 8}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -38,6 +53,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		h, err := readHeader(r)
+		c := NewClient(bytes.NewReader(data), 0)
+		var ph Header
+		perr := c.peekHeader(&ph)
+		if (err == nil) != (perr == nil) || ph != h ||
+			(err != nil && (err.Error() != perr.Error() || errors.Is(perr, io.EOF) != errors.Is(err, io.EOF))) {
+			t.Fatalf("in-place parse = %+v, %v; readHeader = %+v, %v", ph, perr, h, err)
+		}
 		if err != nil {
 			return
 		}

@@ -260,7 +260,7 @@ func (c *Compiler) incremental(keys []int, polys []geom.Polygon, dirty, removed 
 // The schedule may drift by whole index packets between generations (the
 // encoded tree grows or shrinks past a packet boundary): every frame then
 // shifts position, but only two header fields depend on position — the
-// slot, which transmitSlot overwrites anyway, and the next-index delta —
+// slot, which the transmitter overwrites anyway, and the next-index delta —
 // so a reused frame costs a 24-byte header rewrite, not a payload marshal.
 // Anything else (capacity, bucket geometry, or replication changes) falls
 // back to a full render. Byte identity with renderCycle is pinned by

@@ -33,7 +33,7 @@ func newLossFixture(t *testing.T, n, capacity, startSlot int, ch *channel.Channe
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		prog.Transmit(srvEnd, startSlot, ch) //nolint:errcheck
+		prog.TransmitObserved(srvEnd, startSlot, ch, nil) //nolint:errcheck
 	}()
 	t.Cleanup(func() {
 		cliEnd.Close()

@@ -1,9 +1,8 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/binary"
-	"sync"
+	"io"
 
 	"airindex/internal/channel"
 )
@@ -13,7 +12,8 @@ import (
 // slot s % cycleLen. renderedCycle exploits that by rendering every frame
 // of one cycle exactly once — header template (slot field zero-adjusted at
 // transmit time), payload bytes, and payload CRC — so the per-frame work of
-// the serving hot path collapses to "patch 4 bytes, write two slices".
+// the serving hot path collapses to "copy, patch 8 bytes" per frame and one
+// write per batch of frames.
 // The table is immutable after renderCycle returns and is shared read-only
 // by every connection goroutine.
 
@@ -35,8 +35,9 @@ func (rc *renderedCycle) cycleLen() int { return len(rc.frames) }
 func (rc *renderedCycle) sizeBytes() int { return len(rc.frames) * rc.frameSize }
 
 // renderCycle renders every slot of one broadcast cycle through the same
-// frameAt + marshalFrame pipeline the per-frame path used, guaranteeing
-// byte-identical wire output (pinned by TestRenderedCycleMatchesFrameAt).
+// frameAt + marshalFrame pipeline the per-frame reference uses, guaranteeing
+// byte-identical wire output (pinned by TestRenderedCycleMatchesFrameAt and
+// TestBatchedTransmitMatchesPerFrame).
 func renderCycle(p *Program) (*renderedCycle, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -60,24 +61,20 @@ func renderCycle(p *Program) (*renderedCycle, error) {
 	return rc, nil
 }
 
-// framePool holds full-frame scratch buffers for the copy-on-corrupt path:
-// the fault middleware mutates frame bytes in place (bit corruption), so a
-// connection with a fault channel must copy the shared rendered frame into
-// private scratch before handing it over. Perfect-channel connections never
-// touch the pool.
-var framePool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
+// txBatchBytes bounds one transmit batch: the live server and
+// TransmitObserved copy up to this many bytes of consecutive frames into
+// the connection's buffer and write them in one call. The client's read
+// buffer is the same size.
+const txBatchBytes = 128 << 10
 
 // transmitter is one connection's view of the rendered broadcast: the
-// shared frame table, the connection's optional fault channel, the metrics
-// sink frame outcomes are counted into, and a persistent header scratch so
-// the perfect-channel path allocates nothing per frame.
+// shared frame table, its optional fault channel, the metrics sink, and
+// its own batch buffer.
 type transmitter struct {
 	rc  *renderedCycle
 	ch  *channel.Channel
 	m   *Metrics
-	hdr [headerSize]byte
+	buf []byte
 }
 
 // transmitter builds the per-connection transmit state, rendering the
@@ -94,52 +91,60 @@ func (p *Program) transmitter(ch *channel.Channel, m *Metrics) (*transmitter, er
 	return &transmitter{rc: rc, ch: ch, m: m}, nil
 }
 
-// transmitSlot writes the frame whose content sits at cycle position rel,
-// stamped with the absolute slot number abs and the program generation gen
-// (both header patches; the payload CRC is unaffected). abs and rel differ
-// once a hot swap has replaced the program mid-connection: slot numbering
-// runs on uninterrupted while content restarts at the new cycle's origin.
-// The perfect-channel path patches the connection's header scratch and
-// writes the shared payload without copying or allocating; the fault path
-// assembles the frame in pooled scratch (the middleware may flip payload
-// bits), forwards it through the channel, and writes it unless dropped. A
-// dropped frame writes nothing: its slot elapses silently and the next
-// frame's slot number reveals the gap to the receiver.
-func (t *transmitter) transmitSlot(w *bufio.Writer, abs, rel int, gen uint32) error {
-	f := &t.rc.frames[rel%len(t.rc.frames)]
-	if t.ch == nil {
-		copy(t.hdr[:], f.hdr[:])
-		binary.LittleEndian.PutUint32(t.hdr[4:], uint32(abs))
-		binary.LittleEndian.PutUint32(t.hdr[16:], gen)
-		if _, err := w.Write(t.hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(f.payload); err != nil {
-			return err
-		}
-		t.m.FramesWritten.Inc()
-		t.m.BytesWritten.Add(int64(headerSize + len(f.payload)))
-		return nil
+// batchFrames is the number of frames one full batch holds.
+func (t *transmitter) batchFrames() int { return max(1, txBatchBytes/t.rc.frameSize) }
+
+// fill copies the frames at cycle positions rel, rel+1, ... (at most n,
+// never past the cycle boundary, where callers pick up a swap or drain)
+// into the connection's buffer, stamped with absolute slots abs, abs+1, ...
+// and generation gen; the two differ once a swap rebased the content. Each
+// frame then meets the fault channel in place, in slot order: a dropped
+// frame is rewound out of the buffer (the next slot number reveals the
+// gap), a corrupted one is damaged in the private copy only.
+func (t *transmitter) fill(abs, rel, n int, gen uint32) (buf []byte, slots, dropped, corrupted int) {
+	frames := t.rc.frames
+	pos := rel % len(frames)
+	n = min(n, len(frames)-pos)
+	fs := t.rc.frameSize
+	if cap(t.buf) < n*fs {
+		t.buf = make([]byte, n*fs)
 	}
-	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], f.hdr[:]...)
-	buf = append(buf, f.payload...)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(abs))
-	binary.LittleEndian.PutUint32(buf[16:], gen)
-	var err error
-	switch t.ch.TransmitFault(buf, headerSize) {
-	case channel.Drop:
-		t.m.FramesDropped.Inc()
-	case channel.Corrupt:
-		t.m.FramesCorrupted.Inc()
-		fallthrough
-	default:
-		if _, err = w.Write(buf); err == nil {
-			t.m.FramesWritten.Inc()
-			t.m.BytesWritten.Add(int64(len(buf)))
+	off := 0
+	for i := 0; i < n; i++ {
+		f := &frames[pos+i]
+		fr := t.buf[off : off+fs]
+		copy(fr, f.hdr[:])
+		copy(fr[headerSize:], f.payload)
+		binary.LittleEndian.PutUint32(fr[4:], uint32(abs+i))
+		binary.LittleEndian.PutUint32(fr[16:], gen)
+		if t.ch != nil {
+			switch t.ch.TransmitFault(fr, headerSize) {
+			case channel.Drop:
+				dropped++
+				continue
+			case channel.Corrupt:
+				corrupted++
+			}
+		}
+		off += fs
+	}
+	return t.buf[:off], n, dropped, corrupted
+}
+
+// send fills one batch of at most n frames and writes it in a single call
+// (none when the channel dropped every frame). The batch's outcomes are
+// counted once, after the write succeeded, so the counters never claim
+// frames the writer refused. It returns the slots the batch consumed.
+func (t *transmitter) send(w io.Writer, abs, rel, n int, gen uint32) (int, error) {
+	buf, slots, dropped, corrupted := t.fill(abs, rel, n, gen)
+	if len(buf) > 0 {
+		if _, err := w.Write(buf); err != nil {
+			return 0, err
 		}
 	}
-	*bp = buf
-	framePool.Put(bp)
-	return err
+	t.m.FramesWritten.Add(int64(len(buf) / t.rc.frameSize))
+	t.m.BytesWritten.Add(int64(len(buf)))
+	t.m.FramesDropped.Add(int64(dropped))
+	t.m.FramesCorrupted.Add(int64(corrupted))
+	return slots, nil
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -15,12 +14,6 @@ import (
 	"airindex/internal/broadcast"
 	"airindex/internal/channel"
 )
-
-// txBufSize is the transmit write-buffer size shared by the live server
-// and Program.Transmit, so the loss experiments and the live server
-// measure the same I/O batching (one syscall per ~64 KB instead of per
-// frame).
-const txBufSize = 64 << 10
 
 // ErrServerClosed is returned by Serve after Close or Shutdown, so callers
 // can tell a deliberate stop from an accept failure (net/http's
@@ -334,26 +327,9 @@ func (s *Server) Serve() error {
 	}
 }
 
-// deadlineWriter arms a write deadline before every underlying write, so a
-// receiver that stops draining surfaces os.ErrDeadlineExceeded instead of
-// blocking the connection goroutine forever.
-type deadlineWriter struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if w.timeout > 0 {
-		w.conn.SetWriteDeadline(time.Now().Add(w.timeout)) //nolint:errcheck
-	}
-	return w.conn.Write(p)
-}
-
 // streamTo broadcasts frames to one connection until it errors or the
-// server stops. Frames come from the shared rendered cycle — the
-// perfect-channel path performs no per-frame allocation or copying beyond
-// the 24-byte header patch. Writes are buffered (one syscall per ~64 KB
-// instead of per frame); with real-time pacing every frame is flushed on
+// server stops, one write per batch of frames from the shared rendered
+// cycle; with real-time pacing every frame is its own batch, written on
 // its slot tick.
 //
 // At every cycle boundary the goroutine checks for a swapped program and,
@@ -375,41 +351,41 @@ func (s *Server) streamTo(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	cycle := lp.prog.Sched.CycleLen()
+	n := tx.batchFrames()
+	if s.SlotDuration > 0 {
+		n = 1
+	}
 	// Content position is slot-contentBase: zero for a fresh connection
 	// (frame content at absolute slot s is s % cycle, as always), rebased
 	// to the swap slot when a new program takes over mid-connection.
 	contentBase := 0
-	bw := bufio.NewWriterSize(&deadlineWriter{conn: conn, timeout: s.WriteTimeout}, txBufSize)
 	for !s.closed.Load() {
-		if (slot-contentBase)%cycle == 0 {
+		if (slot-contentBase)%tx.rc.cycleLen() == 0 {
 			if s.draining.Load() {
-				break
+				return
 			}
 			if next := s.cur.Load(); next.gen != lp.gen {
-				ntx, terr := next.prog.transmitter(ch, s.metrics)
-				if terr != nil {
+				rc, err := next.prog.Rendered()
+				if err != nil {
 					return
 				}
-				lp, tx = next, ntx
-				cycle = lp.prog.Sched.CycleLen()
+				lp, tx.rc = next, rc
 				contentBase = slot
 			}
 		}
-		if err := tx.transmitSlot(bw, slot, slot-contentBase, lp.gen); err != nil {
+		if s.WriteTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)) //nolint:errcheck
+		}
+		k, err := tx.send(conn, slot, slot-contentBase, n, lp.gen)
+		if err != nil {
 			s.noteWriteError(conn, err)
 			return
 		}
-		slot++
+		slot += k
 		if s.SlotDuration > 0 {
-			if err := bw.Flush(); err != nil {
-				s.noteWriteError(conn, err)
-				return
-			}
 			time.Sleep(s.SlotDuration)
 		}
 	}
-	bw.Flush() //nolint:errcheck
 }
 
 // noteWriteError classifies a failed connection write: a deadline
@@ -422,28 +398,26 @@ func (s *Server) noteWriteError(conn net.Conn, err error) {
 	}
 }
 
-// Transmit streams the program's frames to w, beginning at startSlot and
-// passing every frame through ch (nil = perfect channel), until the writer
-// fails — the listener-less analogue of Server for net.Pipe tests and the
-// loss-rate experiments. Frames carry generation 1, matching a freshly
-// started server. Closing the pipe is how callers stop it.
-func (p *Program) Transmit(w io.Writer, startSlot int, ch *channel.Channel) error {
-	return p.TransmitObserved(w, startSlot, ch, nil)
-}
-
-// TransmitObserved is Transmit recording frame counters into m (nil
-// allocates a private, unread set), so listener-less experiments report
-// the same wire-side metrics a live server would.
+// TransmitObserved streams the program's frames to w, beginning at
+// startSlot and passing every frame through ch (nil = perfect channel),
+// until the writer fails — the listener-less analogue of Server for
+// net.Pipe tests and the loss-rate experiments. Frames carry generation 1,
+// matching a freshly started server; closing the pipe is how callers stop
+// it. Frame counters go into m (nil allocates a private, unread set), so
+// listener-less experiments report the same wire-side metrics a live
+// server would.
 func (p *Program) TransmitObserved(w io.Writer, startSlot int, ch *channel.Channel, m *Metrics) error {
 	tx, err := p.transmitter(ch, m)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, txBufSize)
-	for slot := startSlot; ; slot++ {
-		if err := tx.transmitSlot(bw, slot, slot, 1); err != nil {
+	n := tx.batchFrames()
+	for slot := startSlot; ; {
+		k, err := tx.send(w, slot, slot, n, 1)
+		if err != nil {
 			return err
 		}
+		slot += k
 	}
 }
 

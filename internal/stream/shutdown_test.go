@@ -125,8 +125,10 @@ func TestShutdownForceClosesOnDeadline(t *testing.T) {
 	}
 	defer conn.Close()
 	// Never read: the server's writes back up and its goroutine blocks, so
-	// the drain can only finish by force.
-	time.Sleep(20 * time.Millisecond)
+	// the drain can only finish by force. Wait until the written-bytes
+	// counter stops growing — the socket buffers are full and the write is
+	// really blocked — however slowly the server got there.
+	waitWritesStalled(t, srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -134,6 +136,27 @@ func TestShutdownForceClosesOnDeadline(t *testing.T) {
 	}
 	if err := waitServe(t, serveErr); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+}
+
+// waitWritesStalled waits until the server has written something and its
+// BytesWritten counter then holds still for 50 ms.
+func waitWritesStalled(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	last, still := int64(-1), 0
+	for still < 5 {
+		if time.Now().After(deadline) {
+			t.Fatal("server writes never stalled")
+		}
+		time.Sleep(10 * time.Millisecond)
+		n := srv.Metrics().BytesWritten.Load()
+		if n > 0 && n == last {
+			still++
+		} else {
+			still = 0
+		}
+		last = n
 	}
 }
 

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -167,16 +166,12 @@ func TestClientEpochRecovery(t *testing.T) {
 		if err != nil {
 			return
 		}
-		bw := bufio.NewWriterSize(srvEnd, txBufSize)
 		for slot := start; ; slot++ {
 			var werr error
 			if slot < swapAt {
-				werr = tx1.transmitSlot(bw, slot, slot, 1)
+				_, werr = tx1.send(srvEnd, slot, slot, 1, 1)
 			} else {
-				werr = tx2.transmitSlot(bw, slot, slot-swapAt, 2)
-			}
-			if werr == nil {
-				werr = bw.Flush()
+				_, werr = tx2.send(srvEnd, slot, slot-swapAt, 1, 2)
 			}
 			if werr != nil {
 				return
